@@ -183,15 +183,6 @@ def test_engine_flow_wall_times(tmp_path):
                  "tasks": len(serial_cold.manifest.records)},
         "cpu_count": os.cpu_count(),
         "backends": backends,
-        # Back-compat headline numbers (pre-1.5 schema).
-        "cold_run_s": cold_s,
-        "warm_run_s": backends["warm-cache"]["wall_s"],
-        "parallel_run_s": backends["pool-warm-workers"]["wall_s"],
-        "parallel_workers": 2,
-        "speedup_parallel_vs_cold":
-            backends["pool-warm-workers"]["speedup_vs_serial_cold"],
-        "speedup_warm_vs_cold":
-            backends["warm-cache"]["speedup_vs_serial_cold"],
     }
     out_path = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
     with open(out_path, "w", encoding="utf-8") as handle:

@@ -18,7 +18,7 @@ The package rebuilds the paper's whole tool chain in Python:
   (admission control, deadlines, request coalescing, graceful drain),
 * :mod:`repro.reporting` — regeneration of every table and figure.
 
-Quickstart (1.2 API — keyword-only, engine-first)::
+Quickstart (2.0 API — keyword-only, engine-first)::
 
     from repro import quick_ppa
     comparison = quick_ppa(cells=["INV1X1", "NAND2X1"])
@@ -28,9 +28,9 @@ Every public entry point — :func:`quick_ppa`,
 :func:`repro.flows.run_full_flow`, :func:`repro.flows.run_extractions`
 and :class:`repro.ppa.runner.PpaRunner` — shares one keyword-only
 signature family ``(*, cells=None, variants=None, parasitics=None,
-dt=DEFAULT_DT, engine=None, observe=None)`` and accepts ``observe=`` to
-scope tracing to the call (``True``, a path, or a
-:class:`repro.observe.Tracer`)::
+dt=DEFAULT_DT, engine=None, observe=None)`` (``PpaRunner`` requires
+``engine=``) and accepts ``observe=`` to scope tracing to the call
+(``True``, a path, or a :class:`repro.observe.Tracer`)::
 
     comparison = quick_ppa(cells=["INV1X1"], observe="trace_out/")
     # trace_out/trace.json loads in chrome://tracing / Perfetto
@@ -38,7 +38,6 @@ scope tracing to the call (``True``, a path, or a
 
 from repro.cells.netlist_builder import Parasitics
 from repro.cells.variants import DeviceVariant
-from repro.deprecation import absorb_positional, absorb_renamed
 from repro.engine import (
     Engine,
     ExecutionBackend,
@@ -68,7 +67,7 @@ from repro.ppa.runner import DEFAULT_DT, PpaRunner
 from repro.resilience import FaultInjector, RetryPolicy
 from repro.tcad.device import Polarity, design_for_variant
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ChannelCount",
@@ -109,23 +108,15 @@ __all__ = [
 ]
 
 
-def quick_ppa(*args, cells=None, variants=None, parasitics=None,
-              dt=DEFAULT_DT, engine=None, observe=None,
-              cell_names=None) -> PpaComparison:
+def quick_ppa(*, cells=None, variants=None, parasitics=None,
+              dt=DEFAULT_DT, engine=None, observe=None) -> PpaComparison:
     """Run the full pipeline on a set of cells and return the comparison.
 
     Convenience wrapper over :class:`repro.ppa.runner.PpaRunner` — the
     first call characterises and extracts all device variants (about half
     a minute), later calls reuse the caches.  ``observe`` scopes a tracer
     to the call (see :mod:`repro.observe`).
-
-    .. deprecated:: 1.2
-       Positional arguments and ``cell_names=`` warn; use ``cells=``.
     """
-    cells = absorb_renamed("quick_ppa", "cell_names", cell_names,
-                           "cells", cells)
-    cells = absorb_positional("quick_ppa", args, ("cells",),
-                              {"cells": cells})["cells"]
     runner = PpaRunner(parasitics=parasitics, dt=dt,
                        engine=engine if engine is not None
                        else default_engine(),

@@ -43,7 +43,6 @@ from repro.engine.backends import (
     PoolBackend,
     SerialBackend,
     WorkQueueBackend,
-    backend_for_workers,
     parse_backend_spec,
     resolve_backend,
 )
@@ -76,7 +75,6 @@ from repro.engine.executor import (
     Task,
     default_engine,
     reset_default_engine,
-    resolve_worker_count,
     set_default_engine,
 )
 from repro.engine.fingerprint import canonicalize, fingerprint
@@ -126,7 +124,6 @@ __all__ = [
     "TaskFailure",
     "TaskRecord",
     "WorkQueueBackend",
-    "backend_for_workers",
     "canonicalize",
     "default_engine",
     "fingerprint",
@@ -145,7 +142,6 @@ __all__ = [
     "resolve_lock_timeout",
     "resolve_remote_cache",
     "resolve_shutdown_grace",
-    "resolve_worker_count",
     "run_dir",
     "set_default_engine",
     "unregister_stage",

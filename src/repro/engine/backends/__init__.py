@@ -5,9 +5,9 @@ Selection (first match wins):
 1. an explicit :class:`ExecutionBackend` instance or spec string passed
    to ``Engine(backend=...)`` / ``--backend``;
 2. the :data:`BACKEND_ENV` (``REPRO_BACKEND``) environment variable;
-3. the deprecated ``max_workers=`` / ``REPRO_MAX_WORKERS`` width, mapped
-   onto ``serial`` (width 1) or ``pool:N``;
-4. a machine-width :class:`~repro.engine.backends.pool.PoolBackend`.
+3. a machine-width :class:`~repro.engine.backends.pool.PoolBackend`
+   (:class:`~repro.engine.backends.serial.SerialBackend` on single-core
+   machines).
 
 Spec grammar: ``"serial"`` | ``"pool"`` | ``"pool:N"`` | ``"workqueue"``.
 """
@@ -66,21 +66,6 @@ def parse_backend_spec(spec: str) -> ExecutionBackend:
         f"(expected one of {', '.join(BACKEND_SPECS)})")
 
 
-def backend_for_workers(workers: Optional[int] = None
-                        ) -> ExecutionBackend:
-    """Map a worker-count width onto a backend (no deprecation warning).
-
-    Internal call sites that still think in widths (``--workers``,
-    parity cells) use this; width 1 is the serial backend, anything
-    wider a warm pool.
-    """
-    from repro.engine.executor import resolve_worker_count
-    count = resolve_worker_count(workers)
-    if count == 1:
-        return SerialBackend()
-    return PoolBackend(count)
-
-
 def resolve_backend(backend: Optional[Union[str, ExecutionBackend]] = None
                     ) -> Optional[ExecutionBackend]:
     """Resolve explicit arg > ``REPRO_BACKEND``; None when neither set."""
@@ -113,7 +98,6 @@ __all__ = [
     "TaskResult",
     "TransferStats",
     "WorkQueueBackend",
-    "backend_for_workers",
     "parse_backend_spec",
     "resolve_backend",
     "resolve_lease_ttl",

@@ -35,6 +35,7 @@ from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Any, Deque, List, Optional, Tuple
 
+from repro.config import require_int
 from repro.engine.backends import shm
 from repro.engine.backends.base import (
     ExecutionBackend,
@@ -202,8 +203,9 @@ class PoolBackend(ExecutionBackend):
 
     def __init__(self, workers: Optional[int] = None) -> None:
         super().__init__()
-        from repro.engine.executor import resolve_worker_count
-        self.workers = resolve_worker_count(workers)
+        self.workers = require_int(
+            "workers", workers if workers is not None
+            else os.cpu_count() or 1, minimum=1)
         try:
             self._context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback

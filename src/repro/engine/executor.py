@@ -21,8 +21,7 @@ Backends execute the same pure stage functions on the same inputs, so
 their artefacts are bit-identical; the only difference a manifest can
 show is wall time and worker ids.  Selection: ``Engine(backend=...)``
 (spec string or instance) > the ``REPRO_BACKEND`` environment variable
-> the deprecated ``max_workers=`` / ``REPRO_MAX_WORKERS`` width > a
-machine-width pool.
+> a machine-width pool (serial on single-core machines).
 
 Failure domain (see :mod:`repro.resilience`): every task gets the
 engine's :class:`~repro.resilience.retry.RetryPolicy` — capped
@@ -57,13 +56,10 @@ import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.config import require_int
-from repro.deprecation import warn_deprecated
 from repro.engine.backends import (
-    BACKEND_ENV,
     ExecutionBackend,
+    PoolBackend,
     SerialBackend,
-    backend_for_workers,
     resolve_backend,
 )
 from repro.engine.cache import ArtifactCache
@@ -75,10 +71,6 @@ from repro.engine.stages import get_stage
 from repro.errors import EngineRunError, ReproError
 from repro.observe import activate, resolve_tracer
 from repro.resilience.retry import RetryPolicy, resolve_retry_policy
-
-#: Environment variable overriding the auto-detected worker count
-#: (deprecated in favour of ``REPRO_BACKEND=pool:N``).
-MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
 #: Characters of formatted traceback kept in a TaskFailure record.
 TRACEBACK_TAIL = 1500
@@ -152,21 +144,6 @@ class EngineRun:
             raise error
 
 
-def resolve_worker_count(max_workers: Optional[int] = None) -> int:
-    """Worker count: explicit > ``REPRO_MAX_WORKERS`` > cpu count.
-
-    Malformed values fail at startup with a :class:`ConfigError`
-    naming their source (the env var or the parameter).
-    """
-    if max_workers is None:
-        env = os.environ.get(MAX_WORKERS_ENV)
-        if env:
-            max_workers = require_int(MAX_WORKERS_ENV, env, minimum=1)
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-    return require_int("max_workers", max_workers, minimum=1)
-
-
 def _traceback_tail(exc: BaseException) -> str:
     """Last ``TRACEBACK_TAIL`` characters of the formatted traceback."""
     try:
@@ -187,11 +164,8 @@ class Engine:
         ``"pool:N"``, ``"workqueue"``) or an
         :class:`~repro.engine.backends.ExecutionBackend` instance to
         share between engines.  ``None`` resolves ``REPRO_BACKEND``,
-        then the deprecated worker-count path, then defaults to a
-        machine-width pool (serial on single-core machines).
-    max_workers:
-        Deprecated — pass ``backend="pool:N"`` (or ``"serial"`` for
-        ``N=1``) instead.  Still honoured through that mapping.
+        then defaults to a machine-width pool (serial on single-core
+        machines).
     cache:
         Share an existing :class:`ArtifactCache`; by default each engine
         owns one resolved from ``cache_dir`` / ``REPRO_CACHE_DIR``.
@@ -217,33 +191,25 @@ class Engine:
         skips dependents and completes every independent subgraph.
     """
 
-    def __init__(self, max_workers: Optional[int] = None,
+    def __init__(self, *,
+                 backend: Optional[Union[str, ExecutionBackend]] = None,
                  cache: Optional[ArtifactCache] = None,
                  cache_dir: Optional[os.PathLike] = None,
                  use_disk: bool = True,
                  observe: Any = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  on_error: str = "raise",
-                 backend: Optional[Union[str, ExecutionBackend]] = None,
                  remote=None):
         if on_error not in ON_ERROR_MODES:
             raise ReproError(f"on_error must be one of {ON_ERROR_MODES}, "
                              f"got {on_error!r}")
-        if max_workers is not None:
-            warn_deprecated(
-                "Engine(max_workers=N) is deprecated; pass "
-                "backend='pool:N' (or 'serial' for N=1), or an "
-                "ExecutionBackend instance")
         #: True when this engine constructed the backend itself (and
         #: therefore owns its lifetime); False for shared instances.
         self.owns_backend = not isinstance(backend, ExecutionBackend)
         resolved = resolve_backend(backend)
         if resolved is None:
-            if max_workers is None and os.environ.get(MAX_WORKERS_ENV):
-                warn_deprecated(
-                    f"{MAX_WORKERS_ENV} is deprecated; set "
-                    f"{BACKEND_ENV}='pool:N' (or 'serial') instead")
-            resolved = backend_for_workers(max_workers)
+            resolved = (SerialBackend() if (os.cpu_count() or 1) == 1
+                        else PoolBackend())
         self.backend = resolved
         self.cache = cache or ArtifactCache(cache_dir=cache_dir,
                                             use_disk=use_disk,

@@ -87,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cache-dir", default=None,
                        help="cache directory (default REPRO_CACHE_DIR)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="engine width (default REPRO_MAX_WORKERS)")
         p.add_argument("--backend", default=None,
                        help="execution backend: serial, pool, pool:N or "
                             "workqueue (default REPRO_BACKEND); "
@@ -196,16 +194,9 @@ def _cmd_list(args) -> int:
 
 def _engine_for(args) -> Optional[Engine]:
     remote = getattr(args, "remote_cache", None)
-    if (args.cache_dir is None and args.workers is None
-            and args.backend is None and remote is None):
+    if args.cache_dir is None and args.backend is None and remote is None:
         return None
-    backend = args.backend
-    if backend is None and args.workers is not None:
-        backend = ("serial" if args.workers == 1
-                   else f"pool:{args.workers}")
-    elif backend == "pool" and args.workers is not None:
-        backend = f"pool:{args.workers}"
-    return Engine(backend=backend, cache_dir=args.cache_dir,
+    return Engine(backend=args.backend, cache_dir=args.cache_dir,
                   remote=remote)
 
 

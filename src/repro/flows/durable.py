@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional
 from repro.cells.library import CELL_NAMES
 from repro.cells.netlist_builder import Parasitics
 from repro.cells.variants import DeviceVariant
-from repro.engine import Engine, backend_for_workers, default_engine
+from repro.engine import Engine, default_engine
 from repro.engine.durability import (
     CancellationToken,
     GracefulShutdown,
@@ -125,15 +125,10 @@ def derive_run_id(flow: Dict[str, Any], prefix: str = "req") -> str:
     return f"{prefix}-{fingerprint(flow)[:16]}"
 
 
-def _resolve_durable_engine(engine: Optional[Engine],
-                            cache_dir,
-                            max_workers: Optional[int],
+def _resolve_durable_engine(engine: Optional[Engine], cache_dir,
                             backend=None) -> Engine:
     if engine is None:
-        if (cache_dir is not None or max_workers is not None
-                or backend is not None):
-            if backend is None and max_workers is not None:
-                backend = backend_for_workers(max_workers)
+        if cache_dir is not None or backend is not None:
             engine = Engine(backend=backend, cache_dir=cache_dir)
         else:
             engine = default_engine()
@@ -154,7 +149,6 @@ def run_durable_flow(*,
                      dt: float = DEFAULT_DT,
                      engine: Optional[Engine] = None,
                      cache_dir=None,
-                     max_workers: Optional[int] = None,
                      backend=None,
                      run_id: Optional[str] = None,
                      grace: Optional[float] = None,
@@ -180,8 +174,7 @@ def run_durable_flow(*,
     at the next task boundary and raises
     :class:`~repro.errors.RunInterrupted` with the resumable run id.
     """
-    engine = _resolve_durable_engine(engine, cache_dir, max_workers,
-                                     backend)
+    engine = _resolve_durable_engine(engine, cache_dir, backend)
     cache_root = engine.cache.cache_dir
     run_id = run_id or new_run_id()
     directory = run_dir(cache_root, run_id)
@@ -255,7 +248,6 @@ def run_durable_flow(*,
 def resume_run(run_id: str, *,
                engine: Optional[Engine] = None,
                cache_dir=None,
-               max_workers: Optional[int] = None,
                backend=None,
                grace: Optional[float] = None,
                cancellation: Optional[CancellationToken] = None,
@@ -269,8 +261,7 @@ def resume_run(run_id: str, *,
     evicted entries are simply recomputed); at most the killed
     invocation's in-flight tasks are repeated.
     """
-    engine = _resolve_durable_engine(engine, cache_dir, max_workers,
-                                     backend)
+    engine = _resolve_durable_engine(engine, cache_dir, backend)
     state = load_run(engine.cache.cache_dir, run_id)
     if state.flow is None:
         raise ReproError(

@@ -20,14 +20,7 @@ from typing import List, Optional
 from repro.cells.library import CELL_NAMES
 from repro.cells.netlist_builder import Parasitics
 from repro.cells.variants import DeviceVariant
-from repro.deprecation import absorb_positional, absorb_renamed, \
-    warn_deprecated
-from repro.engine import (
-    Engine,
-    RunManifest,
-    backend_for_workers,
-    default_engine,
-)
+from repro.engine import Engine, RunManifest, default_engine
 from repro.engine.pipeline import (
     cell_ppa_tasks,
     extraction_tasks,
@@ -81,48 +74,19 @@ class FullFlowResult:
         }
 
 
-def _resolve_engine(engine: Optional[Engine],
-                    max_workers: Optional[int]) -> Engine:
-    """Pick the engine: explicit > width override > process default.
-
-    A width override still shares the default engine's artifact cache,
-    so serial and parallel runs in one process reuse each other's work.
-    """
-    if engine is not None:
-        return engine
-    if max_workers is not None:
-        warn_deprecated(
-            "max_workers= is deprecated and will be removed in 1.3; pass "
-            "engine=Engine(backend='pool:N') instead", stacklevel=4)
-        return Engine(backend=backend_for_workers(max_workers),
-                      cache=default_engine().cache)
-    return default_engine()
-
-
-def run_extractions(*args,
-                    variants: Optional[List[ChannelCount]] = None,
+def run_extractions(*, variants: Optional[List[ChannelCount]] = None,
                     process: Optional[ProcessParameters] = None,
                     engine: Optional[Engine] = None,
-                    observe=None,
-                    max_workers: Optional[int] = None) -> ExtractionReport:
+                    observe=None) -> ExtractionReport:
     """Extract compact models for every (variant, polarity) pair.
 
     All (variant, polarity) extractions are independent, so a parallel
     engine characterises and fits them concurrently.  ``observe``
     scopes a tracer to this call (see :mod:`repro.observe`).
-
-    .. deprecated:: 1.2
-       Positional arguments and ``max_workers=`` warn; pass keywords
-       and ``engine=Engine(max_workers=...)``.
     """
-    kwargs = absorb_positional(
-        "run_extractions", args,
-        ("variants", "process", "engine", "max_workers"),
-        {"variants": variants, "process": process, "engine": engine,
-         "max_workers": max_workers})
-    variants = kwargs["variants"] or list(ChannelCount)
-    engine = _resolve_engine(kwargs["engine"], kwargs["max_workers"])
-    pairs = [extraction_tasks(variant, polarity, kwargs["process"])
+    variants = variants or list(ChannelCount)
+    engine = engine or default_engine()
+    pairs = [extraction_tasks(variant, polarity, process)
              for variant in variants
              for polarity in (Polarity.NMOS, Polarity.PMOS)]
     with maybe_activate(observe):
@@ -168,8 +132,7 @@ def assemble_flow_result(run, extraction_pairs, ppa_pairs) -> FullFlowResult:
     )
 
 
-def run_full_flow(*args,
-                  cells: Optional[List[str]] = None,
+def run_full_flow(*, cells: Optional[List[str]] = None,
                   variants: Optional[List[DeviceVariant]] = None,
                   extraction_variants: Optional[List[ChannelCount]] = None,
                   process: Optional[ProcessParameters] = None,
@@ -178,9 +141,7 @@ def run_full_flow(*args,
                   engine: Optional[Engine] = None,
                   observe=None,
                   journal=None,
-                  cancellation=None,
-                  cell_names: Optional[List[str]] = None,
-                  max_workers: Optional[int] = None) -> FullFlowResult:
+                  cancellation=None) -> FullFlowResult:
     """Run the whole pipeline as one engine task graph.
 
     ``cells`` defaults to all 14 cells (several minutes of cold serial
@@ -193,31 +154,15 @@ def run_full_flow(*args,
     interruptible (see :mod:`repro.engine.durability`); most callers
     should use :func:`repro.flows.run_durable_flow`, which manages
     both plus the run directory.
-
-    .. deprecated:: 1.2
-       Positional arguments, ``cell_names=`` and ``max_workers=`` warn;
-       use ``cells=`` and ``engine=Engine(max_workers=...)``.
     """
-    cells = absorb_renamed("run_full_flow", "cell_names", cell_names,
-                           "cells", cells)
-    kwargs = absorb_positional(
-        "run_full_flow", args,
-        ("cells", "variants", "extraction_variants", "process",
-         "parasitics", "dt", "engine", "max_workers"),
-        {"cells": cells, "variants": variants,
-         "extraction_variants": extraction_variants, "process": process,
-         "parasitics": parasitics, "dt": dt, "engine": engine,
-         "max_workers": max_workers})
-    cells = kwargs["cells"] or list(CELL_NAMES)
-    channel_variants = kwargs["extraction_variants"] or list(ChannelCount)
-    cell_variants = kwargs["variants"] or list(DeviceVariant)
-    process = kwargs["process"]
-    dt = kwargs["dt"] if kwargs["dt"] is not None else DEFAULT_DT
-    engine = _resolve_engine(kwargs["engine"], kwargs["max_workers"])
+    cells = cells or list(CELL_NAMES)
+    channel_variants = extraction_variants or list(ChannelCount)
+    cell_variants = variants or list(DeviceVariant)
+    dt = dt if dt is not None else DEFAULT_DT
+    engine = engine or default_engine()
 
     graph, extraction_pairs, ppa_pairs = build_flow_graph(
-        cells, cell_variants, channel_variants, process,
-        kwargs["parasitics"], dt)
+        cells, cell_variants, channel_variants, process, parasitics, dt)
 
     # durability keywords are only forwarded when set, so plain calls
     # keep the plain Engine.run(tasks) contract

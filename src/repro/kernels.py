@@ -1,8 +1,8 @@
 """Solver-kernel selection (``REPRO_SOLVER_KERNEL``).
 
-PR 9 rewrote the two hot solvers — the 1-D drift-diffusion bias sweep
-and the SPICE MNA linear algebra — as *fast kernels* while keeping the
-original implementations alive as differential oracles:
+Version 1.7 rewrote the two hot solvers — the 1-D drift-diffusion bias
+sweep and the SPICE MNA linear algebra — as *fast kernels* while keeping
+the original implementations alive as differential oracles:
 
 * ``tcad.dd1d`` sweeps: ``batched`` (stacked-tridiagonal Gummel across
   all bias points, active-set dropout) vs ``loop`` (the legacy

@@ -72,7 +72,6 @@ def flow_argv(cells: Sequence[str] = ("INV1X1",),
               extraction_variants: Sequence[str] = ("TRADITIONAL",),
               run_id: Optional[str] = None,
               resume: Optional[str] = None,
-              workers: Optional[int] = None,
               backend: Optional[str] = None,
               extra: Sequence[str] = ()) -> List[str]:
     """``python -m repro.flows ...`` argv for a (small) chaos flow."""
@@ -86,8 +85,6 @@ def flow_argv(cells: Sequence[str] = ("INV1X1",),
                  "--extraction-variants", ",".join(extraction_variants)]
         if run_id is not None:
             argv += ["--run-id", run_id]
-    if workers is not None:
-        argv += ["--workers", str(workers)]
     if backend is not None:
         argv += ["--backend", backend]
     argv += list(extra)

@@ -19,7 +19,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.engine import Engine, backend_for_workers
+from repro.engine import Engine
 from repro.verify.goldens import GoldenStore
 from repro.verify.suites import SUITES, run_suite
 
@@ -47,9 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--allow-widen", action="store_true",
         help="permit --update-goldens to widen a tolerance class")
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="engine width for pipeline measurements (default: auto)")
     parser.add_argument(
         "--backend", default=None,
         help="execution backend for pipeline measurements: serial, "
@@ -79,12 +76,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     store = GoldenStore(root=options.goldens,
                         update=options.update_goldens,
                         allow_widen=options.allow_widen)
-    backend = options.backend
-    if backend is None and options.workers is not None:
-        backend = backend_for_workers(options.workers)
-    elif backend == "pool" and options.workers is not None:
-        backend = f"pool:{options.workers}"
-    engine = Engine(backend=backend) if backend is not None else None
+    engine = (Engine(backend=options.backend)
+              if options.backend is not None else None)
     observe = None
     if options.trace:
         from repro.observe import Tracer

@@ -49,11 +49,9 @@ class ParityCell:
     ----------
     name:
         Matrix-cell identifier (``parity.<mode>``).
-    max_workers:
-        Engine width (1 = serial path, >1 = process pool).
     backend:
-        Explicit execution-backend spec (``"serial"``, ``"pool:N"``,
-        ``"workqueue"``); overrides :attr:`max_workers` when set.
+        Execution-backend spec of the run (``"serial"``, ``"pool:N"``,
+        ``"workqueue"``).
     warm_from:
         Name of the matrix cell whose disk cache this run reuses
         (None = cold: a fresh cache directory).
@@ -102,8 +100,7 @@ class ParityCell:
 
     name: str
     description: str
-    max_workers: int = 1
-    backend: Optional[str] = None
+    backend: str = "serial"
     warm_from: Optional[str] = None
     traced: bool = False
     faults: Optional[str] = None
@@ -124,7 +121,7 @@ PARITY_MATRIX: Tuple[ParityCell, ...] = (
         description="reference run: one worker, fresh cache"),
     ParityCell(
         name="parallel-cold",
-        description="process-pool run, fresh cache", max_workers=2),
+        description="process-pool run, fresh cache", backend="pool:2"),
     ParityCell(
         name="serial-warm",
         description="serial replay from the serial-cold disk cache",
@@ -132,7 +129,7 @@ PARITY_MATRIX: Tuple[ParityCell, ...] = (
     ParityCell(
         name="parallel-warm",
         description="pool replay from the parallel-cold disk cache",
-        max_workers=2, warm_from="parallel-cold"),
+        backend="pool:2", warm_from="parallel-cold"),
     ParityCell(
         name="traced-serial-cold",
         description="serial cold run under an active tracer",
@@ -140,7 +137,7 @@ PARITY_MATRIX: Tuple[ParityCell, ...] = (
     ParityCell(
         name="traced-parallel-cold",
         description="pool cold run under an active tracer",
-        max_workers=2, traced=True),
+        backend="pool:2", traced=True),
     ParityCell(
         name="faulted-retry",
         description="injected stage exceptions healed by task retries "
@@ -168,12 +165,12 @@ PARITY_MATRIX: Tuple[ParityCell, ...] = (
         name="backend-pool",
         description="explicit warm-worker pool backend (pool:2), "
                     "fresh cache",
-        max_workers=2, backend="pool:2"),
+        backend="pool:2"),
     ParityCell(
         name="backend-warm",
         description="pool replay from the backend-pool disk cache "
                     "(persistent workers, all hits)",
-        max_workers=2, backend="pool:2", warm_from="backend-pool"),
+        backend="pool:2", warm_from="backend-pool"),
     ParityCell(
         name="backend-workqueue",
         description="two work-queue CLI invocations cooperatively "
@@ -283,7 +280,8 @@ def _run_chaos_mode(cell: ParityCell, cache_dir: Path,
         run_id = f"parity-{cell.name}"
         env = chaos.repro_env(cache_dir, faults=cell.faults or "")
         outcome = chaos.run_flow(
-            chaos.flow_argv(run_id=run_id, workers=1, **argv_kwargs), env)
+            chaos.flow_argv(run_id=run_id, backend="serial",
+                            **argv_kwargs), env)
         if not outcome.killed:
             raise ReproError(
                 f"chaos run was not killed (exit {outcome.returncode}): "
@@ -314,8 +312,9 @@ def _run_chaos_mode(cell: ParityCell, cache_dir: Path,
             **flow_kwargs)
     if cell.chaos == "concurrent":
         env = chaos.repro_env(cache_dir)
-        argvs = [chaos.flow_argv(run_id=f"parity-conc-{i}", workers=1,
-                                 **argv_kwargs) for i in (1, 2)]
+        argvs = [chaos.flow_argv(run_id=f"parity-conc-{i}",
+                                 backend="serial", **argv_kwargs)
+                 for i in (1, 2)]
         outcomes = chaos.run_concurrent_flows(argvs, env)
         bad = [o for o in outcomes if o.returncode != 0]
         if bad:
@@ -427,8 +426,6 @@ def _run_mode(cell: ParityCell, cache_dir: Path,
         return _run_chaos_mode(cell, cache_dir, flow_kwargs)
     if cell.remote is not None:
         return _run_remote_mode(cell, cache_dir, flow_kwargs)
-    backend = cell.backend or ("serial" if cell.max_workers == 1
-                               else f"pool:{cell.max_workers}")
     injector = (FaultInjector.parse(cell.faults)
                 if cell.faults else None)
     observe = Tracer() if cell.traced else None
@@ -447,7 +444,7 @@ def _run_mode(cell: ParityCell, cache_dir: Path,
     os.environ.update(overrides)
     try:
         engine = Engine(
-            backend=backend, cache_dir=cache_dir,
+            backend=cell.backend, cache_dir=cache_dir,
             retry_policy=RetryPolicy(retries=cell.retries, backoff=0.0))
         return run_full_flow(engine=engine, observe=observe,
                              **flow_kwargs)

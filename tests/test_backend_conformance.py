@@ -90,6 +90,8 @@ def test_parse_backend_spec_variants():
         parse_backend_spec("quantum")
     with pytest.raises(ReproError):
         parse_backend_spec("pool:zero")
+    with pytest.raises(ReproError, match="workers"):
+        parse_backend_spec("pool:0")
 
 
 def test_resolve_backend_passthrough_and_env(monkeypatch):

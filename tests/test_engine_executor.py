@@ -8,7 +8,6 @@ from repro.engine import (
     default_engine,
     register_stage,
     reset_default_engine,
-    resolve_worker_count,
     set_default_engine,
     unregister_stage,
 )
@@ -178,16 +177,6 @@ def test_manifest_roundtrip_and_save(tmp_path):
     assert restored.records[0].task_id == "a"
     assert restored.max_workers == run.manifest.max_workers
     assert "engine run" in run.manifest.render()
-
-
-def test_worker_count_resolution(monkeypatch):
-    assert resolve_worker_count(3) == 3
-    monkeypatch.setenv("REPRO_MAX_WORKERS", "5")
-    assert resolve_worker_count() == 5
-    monkeypatch.delenv("REPRO_MAX_WORKERS")
-    assert resolve_worker_count() >= 1
-    with pytest.raises(ReproError):
-        resolve_worker_count(0)
 
 
 def test_default_engine_swap_and_reset():

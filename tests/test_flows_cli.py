@@ -84,14 +84,14 @@ def test_resume_unknown_run_fails(tmp_path, capsys):
 def test_run_resume_alias_and_list_roundtrip(tmp_path, capsys):
     cache = str(tmp_path)
     code = main(["run", *MINIMAL, "--run-id", "cli-test",
-                 "--cache-dir", cache, "--workers", "1", "--quiet"])
+                 "--cache-dir", cache, "--backend", "serial", "--quiet"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "run cli-test: completed" in out
 
     # everything is already cached, so the resume is fast and exits 0
     code = main(["resume", "cli-test", "--cache-dir", cache,
-                 "--workers", "1", "--json"])
+                 "--backend", "serial", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
     assert payload["run_id"] == "cli-test"

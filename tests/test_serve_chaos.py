@@ -64,7 +64,7 @@ def test_sigkill_mid_request_retry_is_bit_identical(tmp_path):
     baseline_cache = tmp_path / "baseline"
     baseline_env = chaos.repro_env(baseline_cache)
     outcome = chaos.run_flow(
-        chaos.flow_argv(run_id="baseline", workers=1), baseline_env)
+        chaos.flow_argv(run_id="baseline", backend="serial"), baseline_env)
     assert outcome.returncode == 0, outcome.stderr
     baseline = journal_keys(baseline_cache, "baseline")
     assert len(baseline) == MINIMAL_TASKS

@@ -215,7 +215,7 @@ def test_sigkill_peer_lease_takeover_completes_graph(tmp_path):
     # Serial baseline in a fresh cache: identical task fingerprints.
     serial_env = chaos.repro_env(tmp_path / "serial-cache")
     baseline = chaos.run_flow(
-        chaos.flow_argv(run_id="wq-serial", workers=1), serial_env)
+        chaos.flow_argv(run_id="wq-serial", backend="serial"), serial_env)
     assert baseline.returncode == 0, baseline.stderr
     base_state = load_run(tmp_path / "serial-cache", "wq-serial")
     assert {(tid, rec["key"]) for tid, rec in state.done().items()} == \
