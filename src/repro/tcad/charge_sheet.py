@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.tcad.poisson1d import Poisson1D
+from repro.tcad.poisson1d import ArrayLike, Poisson1D
 from repro.tcad.short_channel import ShortChannelModel
 from repro.tcad.srh import SrhParameters, generation_leakage
 from repro.tcad.velocity import MobilityModel
@@ -83,43 +83,66 @@ class ChargeSheetModel:
         rolloff = self.short_channel.vth_rolloff(self.l_eff)
         return vgs + sigma * vds + rolloff
 
-    def _vdsat(self, vg_eff: float) -> float:
-        """Smooth saturation voltage from velocity-saturation theory."""
-        q0 = self.poisson.inversion_charge(vg_eff, 0.0)
+    def _vdsat(self, q0: float) -> float:
+        """Smooth saturation voltage from velocity-saturation theory,
+        given the source-end inversion charge ``q0``."""
         cox = self.poisson.oxide_capacitance()
         v_ov = q0 / cox
         esat_l = self.mobility.saturation_field(q0) * self.l_eff
         return 3.0 * self._vt + esat_l * v_ov / (esat_l + v_ov + 1e-12)
 
-    def drain_current(self, vgs: float, vds: float) -> float:
-        """Drain current [A] for non-negative ``vds`` (source-referenced).
+    def drain_current(self, vgs: ArrayLike, vds: ArrayLike):
+        """Drain current [A] (source-referenced), at one bias or a batch.
 
-        Negative ``vds`` is handled by source/drain exchange symmetry.
+        ``vgs`` and ``vds`` are scalars or arrays, broadcast together.
+        Negative ``vds`` is handled per row by source/drain exchange
+        symmetry, and ``vds == 0`` gives exactly 0.  Every conducting
+        row goes through the same batched Poisson solves: one for the
+        source-end charge, then one per Gauss-Legendre node, each row's
+        node ``j`` warm-started from its own node ``j - 1`` solution.
         """
-        if vds < 0:
-            return -self.drain_current(vgs - vds, -vds)
-        if vds == 0:
-            return 0.0
+        vgs, vds = np.broadcast_arrays(np.asarray(vgs, dtype=float),
+                                       np.asarray(vds, dtype=float))
+        reverse = vds < 0
+        gate = np.where(reverse, vgs - vds, vgs).ravel()
+        drain = np.where(reverse, -vds, vds).ravel()
+        current = np.zeros(drain.size)
+        on = np.flatnonzero(drain != 0)
+        if on.size:
+            current[on] = self._forward_current(gate[on], drain[on])
+        current = np.where(reverse.ravel(), -current, current)
+        current = current.reshape(vgs.shape)
+        return float(current) if current.ndim == 0 else current
 
+    def _forward_current(self, vgs: np.ndarray, vds: np.ndarray) -> list:
+        """Drain currents [A] of rows with positive ``vds``."""
         vg_eff = self._effective_gate_voltage(vgs, vds)
-        vdsat = self._vdsat(vg_eff)
+        q0 = self.poisson.inversion_charge(vg_eff, 0.0).tolist()
         # Smooth clamp of the integration limit (velocity saturation).
-        vdseff = vds / (1.0 + (vds / vdsat) ** 4) ** 0.25
+        # Per-row float arithmetic: the same operations, and so the same
+        # bits, as evaluating one bias point at a time.
+        vdseff = [v / (1.0 + (v / self._vdsat(q)) ** 4) ** 0.25
+                  for v, q in zip(vds.tolist(), q0)]
 
         # Gauss-Legendre integral of Q over [0, vdseff], with the mobility
         # evaluated at the source-end charge (standard charge-sheet
         # simplification: one mu_eff per bias point, not per channel slice).
-        half = vdseff / 2.0
-        v_points = half * (self._gl_nodes + 1.0)
-        integral = 0.0
+        half = np.array(vdseff) / 2.0
+        v_points = half[:, None] * (self._gl_nodes + 1.0)
+        integral = np.zeros(half.size)
         psi0 = None
-        for v, w in zip(v_points, self._gl_weights):
-            solution = self.poisson.solve(vg_eff, float(v), psi0=psi0)
+        for j, w in enumerate(self._gl_weights):
+            solution = self.poisson.solve(vg_eff, v_points[:, j], psi0=psi0)
             psi0 = solution.psi
             integral += w * solution.q_inv
         integral *= half
 
-        q0 = self.poisson.inversion_charge(vg_eff, 0.0)
+        return [self._finish(i, q, v, v_eff) for i, q, v, v_eff in
+                zip(integral.tolist(), q0, vds.tolist(), vdseff)]
+
+    def _finish(self, integral: float, q0: float, vds: float,
+                vdseff: float) -> float:
+        """Mobility, velocity saturation, CLM and leakage of one row."""
         integral *= self.mobility.effective_mobility(q0)
         esat_l = self.mobility.saturation_field(q0) * self.l_eff
         triode_factor = 1.0 / (1.0 + vdseff / esat_l)
@@ -135,16 +158,10 @@ class ChargeSheetModel:
         # Generation scales with the depletion bias; keep a soft V_DS factor.
         return floor * (vds / (vds + self._vt))
 
-    def gate_charge_per_area(self, vgs: float) -> float:
-        """Gate charge density [C/m^2] at V_DS = 0 (for C-V extraction)."""
-        return self.poisson.solve(vgs, 0.0).q_gate
-
-    def gate_capacitance_per_area(self, vgs: float,
-                                  delta: float = 2e-3) -> float:
-        """Small-signal C_GG per area [F/m^2] at V_DS = 0."""
-        hi = self.gate_charge_per_area(vgs + delta)
-        lo = self.gate_charge_per_area(vgs - delta)
-        return (hi - lo) / (2.0 * delta)
+    def gate_capacitance_per_area(self, vgs: ArrayLike, delta: float = 2e-3):
+        """Small-signal C_GG per area [F/m^2] at V_DS = 0, with every
+        ``+delta`` / ``-delta`` pair in one batched solve."""
+        return self.poisson.gate_capacitance(vgs, delta)
 
     def transconductance(self, vgs: float, vds: float,
                          delta: float = 2e-3) -> float:

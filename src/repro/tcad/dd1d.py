@@ -32,6 +32,7 @@ from repro.materials import SILICON
 from repro.observe import get_tracer
 from repro.resilience.faults import draw_fault
 from repro.resilience.rescue import continue_solve
+from repro.tcad.tridiagonal import stacked_tridiagonal_solve
 
 
 def bernoulli(x: np.ndarray) -> np.ndarray:
@@ -44,30 +45,6 @@ def bernoulli(x: np.ndarray) -> np.ndarray:
                         np.where(safe > 0, 0.0, -safe),
                         safe / np.expm1(np.clip(safe, -500.0, 500.0)))
     return np.where(small, 1.0 - x / 2.0 + x * x / 12.0, full)
-
-
-def _stacked_tridiagonal_solve(lower: np.ndarray, diag: np.ndarray,
-                               upper: np.ndarray,
-                               rhs: np.ndarray) -> np.ndarray:
-    """Solve ``k`` independent tridiagonal systems in one LAPACK call.
-
-    Inputs are ``(k, n)`` blocks: ``diag[s, i]`` is ``A_s[i, i]``,
-    ``upper[s, i]`` is ``A_s[i, i+1]`` (``upper[:, -1]`` unused, must
-    be 0) and ``lower[s, i]`` is ``A_s[i, i-1]`` (``lower[:, 0]``
-    unused, must be 0).  Stacking the systems along the diagonal keeps
-    the compound matrix tridiagonal — the cross-block couplings are the
-    unused zero entries — so one banded factorisation of size ``k*n``
-    does exactly the per-block elimination, with a Python/LAPACK call
-    count independent of ``k``.
-    """
-    k, n = diag.shape
-    up = upper.reshape(k * n)
-    lo = lower.reshape(k * n)
-    ab = np.zeros((3, k * n))
-    ab[0, 1:] = up[:-1]
-    ab[1, :] = diag.reshape(k * n)
-    ab[2, :-1] = lo[1:]
-    return solve_banded((1, 1), ab, rhs.reshape(k * n)).reshape(k, n)
 
 
 @dataclass(frozen=True)
@@ -468,7 +445,7 @@ class DriftDiffusion1D:
             upper[:, 1:-1] = cond[1:]
             lower = np.zeros_like(p)
             lower[:, 1:-1] = cond[:-1]
-            delta = _stacked_tridiagonal_solve(lower, diag, upper, -f)
+            delta = stacked_tridiagonal_solve(lower, diag, upper, -f)
             psi[active] += np.clip(delta, -0.5, 0.5)
             done = np.max(np.abs(delta), axis=1) < self.TOL_PSI
             if np.any(done):
@@ -499,7 +476,7 @@ class DriftDiffusion1D:
         rhs = np.zeros_like(psi)
         rhs[:, 0] = n_left
         rhs[:, -1] = n_right
-        n = _stacked_tridiagonal_solve(lower, diag, upper, rhs)
+        n = stacked_tridiagonal_solve(lower, diag, upper, rhs)
         return np.maximum(n, 1.0)
 
     def _solve_direct(self, bias: float,

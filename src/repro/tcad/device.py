@@ -108,20 +108,21 @@ class DeviceDesign:
         """Drawn gate length [m]."""
         return self.engine.l_gate
 
-    def ids(self, vgs: float, vds: float) -> float:
+    def ids(self, vgs, vds):
         """Drain current [A], SPICE sign convention.
 
         For PMOS, ``vgs``/``vds`` are expected negative in normal operation
         and the returned current is negative (flows out of the drain).
+        Like every method below, takes scalars or arrays of biases.
         """
         sign = self.polarity.sign
         return sign * self.engine.drain_current(sign * vgs, sign * vds)
 
-    def ids_magnitude(self, vgs_mag: float, vds_mag: float) -> float:
+    def ids_magnitude(self, vgs_mag, vds_mag):
         """|I_D| [A] for magnitude-space sweeps (extraction targets)."""
         return self.engine.drain_current(vgs_mag, vds_mag)
 
-    def gate_capacitance(self, vgs_mag: float) -> float:
+    def gate_capacitance(self, vgs_mag):
         """Total gate capacitance [F] at V_DS = 0 for a magnitude-space
         gate bias: intrinsic C_GG plus overlaps and MIV fringing."""
         per_area = self.engine.gate_capacitance_per_area(vgs_mag)

@@ -12,7 +12,8 @@ electron quasi-Fermi potential equals the local channel potential ``V``
 
 The solver uses a damped Newton iteration on the finite-volume
 discretisation; the Jacobian is tridiagonal and solved with the banded
-LAPACK routine.  Outputs are the potential profile, the sheet inversion
+LAPACK routine.  A batch of biases shares one Newton loop, with the
+per-bias systems stacked into one block-diagonal banded solve.  Outputs are the potential profile, the sheet inversion
 charge (integral of the minority carrier density over the film) and the
 gate charge per unit area (displacement field at the gate boundary), from
 which C-V curves are differentiated.
@@ -21,17 +22,20 @@ which C-V curves are differentiated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from repro.constants import Q, thermal_voltage
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, SimulationError
 from repro.materials import SILICON, SILICON_DIOXIDE
 from repro.observe import get_tracer
 from repro.tcad.mesh import Mesh1D, Region
 from repro.tcad.statistics import boltzmann_n, boltzmann_p, fermi_correction
+from repro.tcad.tridiagonal import stacked_tridiagonal_solve
+
+#: A bias: a scalar, or a 1-D array with one value per batch row.
+ArrayLike = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,11 @@ class StackSpec:
 
 @dataclass(frozen=True)
 class PoissonSolution:
-    """Result of one 1-D Poisson solve.
+    """Result of one 1-D Poisson solve, or of a batch of them.
+
+    A batched solve of ``k`` rows gives ``psi`` the shape
+    ``(k, n_nodes)`` and ``q_inv``, ``q_gate``, ``surface_potential``
+    and ``iterations`` the shape ``(k,)``; ``x`` is shared.
 
     Attributes
     ----------
@@ -90,10 +98,10 @@ class PoissonSolution:
 
     psi: np.ndarray
     x: np.ndarray
-    q_inv: float
-    q_gate: float
-    surface_potential: float
-    iterations: int
+    q_inv: ArrayLike
+    q_gate: ArrayLike
+    surface_potential: ArrayLike
+    iterations: Union[int, np.ndarray]
 
 
 class Poisson1D:
@@ -131,10 +139,10 @@ class Poisson1D:
         self._volumes = self.mesh.node_volumes
         self._surface_index = int(np.argmax(self.mesh.region_node_mask("film")))
 
-    def solve(self, v_gate: float, v_channel: float = 0.0,
-              v_back: float = 0.0,
+    def solve(self, v_gate: ArrayLike, v_channel: ArrayLike = 0.0,
+              v_back: ArrayLike = 0.0,
               psi0: Optional[np.ndarray] = None) -> PoissonSolution:
-        """Solve for the potential profile.
+        """Solve for the potential profile at one bias or a batch of them.
 
         Parameters
         ----------
@@ -146,66 +154,109 @@ class Poisson1D:
         v_back:
             Back-plane (carrier wafer) potential [V].
         psi0:
-            Optional initial guess (e.g. the solution at a nearby bias).
+            Optional initial guess (e.g. the solution at a nearby bias):
+            one ``(n_nodes,)`` profile for every row, or ``(k, n_nodes)``
+            with one profile per row.  Any other shape is ignored.
+
+        The biases are scalars or 1-D arrays, broadcast together into
+        ``k`` rows.  All rows share one damped Newton loop on a stacked
+        ``(k, n_nodes)`` state with one block-diagonal banded solve per
+        iteration.  A row leaves the active set on the iteration it
+        converges, so it takes exactly the steps it would take alone and
+        its result is bit-identical to a one-row solve.  Scalar biases
+        return scalar fields; array biases return the per-solve fields
+        with a leading batch axis.
         """
-        mesh = self.mesh
-        n_nodes = mesh.n_nodes
+        v_gate, v_channel, v_back = np.broadcast_arrays(
+            np.asarray(v_gate, dtype=float),
+            np.asarray(v_channel, dtype=float),
+            np.asarray(v_back, dtype=float))
+        if v_gate.ndim > 1:
+            raise SimulationError("Poisson1D biases must be scalars or 1-D")
+        scalar = v_gate.ndim == 0
+        v_gate, v_channel, v_back = (np.atleast_1d(a)
+                                     for a in (v_gate, v_channel, v_back))
+        k, n_nodes = v_gate.size, self.mesh.n_nodes
         psi_top = v_gate - self.stack.flatband
+        psi = self._initial_guess(psi_top, v_back, psi0)
 
-        if psi0 is not None and psi0.shape == (n_nodes,):
-            psi = psi0.copy()
-        else:
-            psi = np.linspace(psi_top, v_back, n_nodes)
-        psi[0] = psi_top
-        psi[-1] = v_back
+        cond = self.mesh.edge_eps / self.mesh.h  # edge conductances [F/m^2]
+        volumes = self._volumes[1:-1]
+        # Interior row i couples right via cond[i] and left via cond[i-1];
+        # the Dirichlet rows have no coupling.
+        upper = np.zeros((k, n_nodes))
+        upper[:, 1:-1] = cond[1:]
+        lower = np.zeros((k, n_nodes))
+        lower[:, 1:-1] = cond[:-1]
 
-        cond = mesh.edge_eps / mesh.h  # edge conductances [F/m^2]
-        residual = float("inf")
+        iterations = np.zeros(k, dtype=int)
+        residuals = np.zeros(k)
+        active = np.arange(k)
+        residual = np.full(k, np.inf)
         for iteration in range(1, self.MAX_ITERATIONS + 1):
-            n, p, dn, dp = self._carriers(psi, v_channel)
+            m = active.size
+            psi_a = psi[active]
+            n, p, dn, dp = self._carriers(psi_a, v_channel[active, None])
             rho = Q * (p - n + self.stack.net_doping) * self._film_mask
             drho = Q * (dp - dn) * self._film_mask
 
-            # Residual F_i and tridiagonal Jacobian for interior nodes.
-            flux = cond * (psi[1:] - psi[:-1])
-            f = np.zeros(n_nodes)
-            f[1:-1] = flux[1:] - flux[:-1] + rho[1:-1] * self._volumes[1:-1]
+            # Residual F_i and tridiagonal Jacobian for interior nodes;
+            # the Dirichlet rows are identity rows with zero residual.
+            flux = cond * (psi_a[:, 1:] - psi_a[:, :-1])
+            f = np.zeros((m, n_nodes))
+            f[:, 1:-1] = flux[:, 1:] - flux[:, :-1] + rho[:, 1:-1] * volumes
+            diag = np.ones((m, n_nodes))
+            diag[:, 1:-1] = -(cond[1:] + cond[:-1]) + drho[:, 1:-1] * volumes
 
-            diag = np.zeros(n_nodes)
-            diag[1:-1] = -(cond[1:] + cond[:-1]) + drho[1:-1] * self._volumes[1:-1]
+            delta = stacked_tridiagonal_solve(lower[:m], diag, upper[:m], -f)
+            psi[active] = psi_a + np.clip(delta, -self.MAX_UPDATE,
+                                          self.MAX_UPDATE)
+            residual = np.max(np.abs(delta), axis=1)
+            done = residual < self.TOLERANCE
+            iterations[active[done]] = iteration
+            residuals[active[done]] = residual[done]
+            active, residual = active[~done], residual[~done]
+            if active.size == 0:
+                break
+        else:
+            row = active[0]
+            raise ConvergenceError(
+                f"Poisson1D failed at v_gate={v_gate[row]:.3f} V, "
+                f"v_channel={v_channel[row]:.3f} V",
+                iterations=self.MAX_ITERATIONS, residual=float(residual[0]))
 
-            # Dirichlet rows.
-            diag[0] = diag[-1] = 1.0
-            f[0] = f[-1] = 0.0
-            # Banded storage: ab[0, i+1] = A[i, i+1], ab[2, i] = A[i+1, i].
-            ab = np.zeros((3, n_nodes))
-            ab[0, 2:] = cond[1:]     # row i couples right via cond[i]
-            ab[1, :] = diag
-            ab[2, :-2] = cond[:-1]   # row i couples left via cond[i-1]
-            ab[0, 1] = 0.0           # top Dirichlet row has no coupling
-            ab[2, -2] = 0.0          # bottom Dirichlet row has no coupling
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.counter("tcad.poisson1d.solves").inc(k)
+            tracer.counter("tcad.poisson1d.iterations").inc(
+                int(iterations.sum()))
+            histogram = tracer.histogram(
+                "tcad.poisson1d.iterations_per_solve")
+            for count in iterations.tolist():
+                histogram.observe(count)
+            tracer.gauge("tcad.poisson1d.last_residual").set(
+                float(residuals[-1]))
+        return self._package(psi, v_channel, cond, iterations, scalar)
 
-            delta = solve_banded((1, 1), ab, -f)
-            step = np.clip(delta, -self.MAX_UPDATE, self.MAX_UPDATE)
-            psi += step
-            residual = float(np.max(np.abs(delta)))
-            if residual < self.TOLERANCE:
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.counter("tcad.poisson1d.solves").inc()
-                    tracer.counter("tcad.poisson1d.iterations").inc(iteration)
-                    tracer.histogram(
-                        "tcad.poisson1d.iterations_per_solve").observe(
-                        iteration)
-                    tracer.gauge("tcad.poisson1d.last_residual").set(residual)
-                return self._package(psi, v_channel, cond, iteration)
+    def _initial_guess(self, psi_top: np.ndarray, v_back: np.ndarray,
+                       psi0: Optional[np.ndarray]) -> np.ndarray:
+        """Starting ``(k, n_nodes)`` state with the Dirichlet values set.
 
-        raise ConvergenceError(
-            f"Poisson1D failed at v_gate={v_gate:.3f} V, "
-            f"v_channel={v_channel:.3f} V",
-            iterations=self.MAX_ITERATIONS, residual=residual)
+        Without a usable ``psi0`` each row starts from its own linear
+        gate-to-back ramp: one ``linspace`` per row, since a broadcast
+        ``linspace`` picks its formula from the whole batch.
+        """
+        k, n_nodes = psi_top.size, self.mesh.n_nodes
+        if psi0 is not None and np.shape(psi0) in ((n_nodes,), (k, n_nodes)):
+            psi = np.array(np.broadcast_to(psi0, (k, n_nodes)), dtype=float)
+        else:
+            psi = np.array([np.linspace(top, back, n_nodes)
+                            for top, back in zip(psi_top, v_back)])
+        psi[:, 0] = psi_top
+        psi[:, -1] = v_back
+        return psi
 
-    def _carriers(self, psi: np.ndarray, v_channel: float):
+    def _carriers(self, psi: np.ndarray, v_channel: ArrayLike):
         """Densities and their derivatives w.r.t. psi."""
         n = boltzmann_n(psi, v_channel, self.ni, self.vt)
         p = boltzmann_p(psi, 0.0, self.ni, self.vt)
@@ -216,34 +267,46 @@ class Poisson1D:
         dp = -p / self.vt
         return n, p, dn, dp
 
-    def _package(self, psi: np.ndarray, v_channel: float,
-                 cond: np.ndarray, iterations: int) -> PoissonSolution:
-        n, p, _, _ = self._carriers(psi, v_channel)
-        film = self._film_mask
-        q_inv = float(Q * np.sum(n * self._volumes * film))
+    def _package(self, psi: np.ndarray, v_channel: np.ndarray,
+                 cond: np.ndarray, iterations: np.ndarray,
+                 scalar: bool) -> PoissonSolution:
+        n, _, _, _ = self._carriers(psi, v_channel[:, None])
+        # Summing each C-contiguous row runs the same pairwise summation,
+        # with the same bits, as summing that row on its own.
+        q_inv = Q * np.sum(n * self._volumes * self._film_mask, axis=1)
         # cond[0] * (psi0 - psi1) is eps_ox * E_ox = displacement [C/m^2].
-        q_gate = float(cond[0] * (psi[0] - psi[1]))
-        return PoissonSolution(
-            psi=psi.copy(),
-            x=self.mesh.x.copy(),
-            q_inv=q_inv,
-            q_gate=q_gate,
-            surface_potential=float(psi[self._surface_index]),
-            iterations=iterations,
-        )
+        q_gate = cond[0] * (psi[:, 0] - psi[:, 1])
+        surface = psi[:, self._surface_index]
+        if scalar:
+            return PoissonSolution(
+                psi=psi[0].copy(),
+                x=self.mesh.x.copy(),
+                q_inv=float(q_inv[0]),
+                q_gate=float(q_gate[0]),
+                surface_potential=float(surface[0]),
+                iterations=int(iterations[0]),
+            )
+        return PoissonSolution(psi=psi, x=self.mesh.x.copy(), q_inv=q_inv,
+                               q_gate=q_gate, surface_potential=surface,
+                               iterations=iterations)
 
-    def inversion_charge(self, v_gate: float, v_channel: float = 0.0,
-                         psi0: Optional[np.ndarray] = None) -> float:
-        """Sheet inversion charge [C/m^2] at a bias point."""
+    def inversion_charge(self, v_gate: ArrayLike, v_channel: ArrayLike = 0.0,
+                         psi0: Optional[np.ndarray] = None):
+        """Sheet inversion charge [C/m^2] at a bias point (or a batch)."""
         return self.solve(v_gate, v_channel, psi0=psi0).q_inv
 
-    def gate_capacitance(self, v_gate: float, delta: float = 2e-3) -> float:
+    def gate_capacitance(self, v_gate: ArrayLike, delta: float = 2e-3):
         """Small-signal gate capacitance per area [F/m^2] by central
-        differencing of the gate charge."""
-        hi = self.solve(v_gate + delta)
-        lo = self.solve(v_gate - delta)
-        return (hi.q_gate - lo.q_gate) / (2.0 * delta)
+        differencing of the gate charge, with every ``+delta`` /
+        ``-delta`` pair in one batched solve."""
+        v_gate = np.asarray(v_gate, dtype=float)
+        rows = np.ravel(v_gate)
+        hi, lo = np.split(self.solve(
+            np.concatenate([rows + delta, rows - delta])).q_gate, 2)
+        cap = ((hi - lo) / (2.0 * delta)).reshape(v_gate.shape)
+        return float(cap) if cap.ndim == 0 else cap
 
     def oxide_capacitance(self) -> float:
         """Front-oxide parallel-plate capacitance per area [F/m^2]."""
         return SILICON_DIOXIDE.permittivity / self.stack.t_ox
+

@@ -11,7 +11,7 @@ Reproduces the paper's TCAD measurement plan (Section III-B):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -65,46 +65,50 @@ class TcadSimulator:
     """Runs the standard sweep plan on a :class:`DeviceDesign`.
 
     All outputs are magnitude-space (|I| vs |V|); the device handles
-    polarity internally.
+    polarity internally.  Each method evaluates its whole bias set in one
+    batched call into the device.
     """
 
     def __init__(self, device: DeviceDesign, spec: Optional[SweepSpec] = None):
         self.device = device
         self.spec = spec or SweepSpec()
 
+    def _idvg_curve(self, vds: float, currents: np.ndarray) -> IVCurve:
+        return IVCurve(self.spec.vg_axis, currents, vds, "idvg",
+                       f"{self.device.label}:idvg@{vds:g}V")
+
     def id_vg(self, vds: float) -> IVCurve:
         """Transfer curve |I_D|(|V_GS|) at fixed |V_DS|."""
         if vds <= 0:
             raise SimulationError(f"vds must be positive, got {vds}")
-        vg = self.spec.vg_axis
-        currents = np.array(
-            [self.device.ids_magnitude(float(v), vds) for v in vg])
-        return IVCurve(vg, currents, vds, "idvg",
-                       f"{self.device.label}:idvg@{vds:g}V")
+        return self._idvg_curve(
+            vds, self.device.ids_magnitude(self.spec.vg_axis, vds))
 
-    def id_vg_linear(self) -> IVCurve:
-        """Low-drain transfer curve (V_DS = 0.05 V in the paper)."""
-        return self.id_vg(self.spec.vds_lin)
-
-    def id_vg_saturation(self) -> IVCurve:
-        """High-drain transfer curve (V_DS = 1.0 V in the paper)."""
-        return self.id_vg(self.spec.vds_sat)
-
-    def id_vd(self) -> IdVdFamily:
-        """Output family over the paper's V_GS = 0.4-1.0 V biases."""
-        vd = self.spec.vd_axis
-        curves: List[IVCurve] = []
-        for vgs in self.spec.idvd_gate_biases:
-            currents = np.array(
-                [self.device.ids_magnitude(float(vgs), float(v)) for v in vd])
-            curves.append(IVCurve(vd, currents, float(vgs), "idvd",
-                                  f"{self.device.label}:idvd@vg={vgs:g}V"))
-        return IdVdFamily(curves, f"{self.device.label}:idvd")
+    def iv_curves(self) -> Tuple[IVCurve, IVCurve, IdVdFamily]:
+        """The low-drain (V_DS,lin) and high-drain (V_DS,sat) transfer
+        curves and the Id-Vd family over the paper's V_GS = 0.4-1.0 V,
+        from one batched current evaluation over the whole I-V plan."""
+        spec = self.spec
+        vg, vd = spec.vg_axis, spec.vd_axis
+        gates = np.asarray(spec.idvd_gate_biases, dtype=float)
+        vgs = np.concatenate([vg, vg, np.repeat(gates, vd.size)])
+        vds = np.concatenate([np.full(vg.size, spec.vds_lin),
+                              np.full(vg.size, spec.vds_sat),
+                              np.tile(vd, gates.size)])
+        lin, sat, idvd = np.split(self.device.ids_magnitude(vgs, vds),
+                                  [vg.size, 2 * vg.size])
+        label = self.device.label
+        curves = [IVCurve(vd, row, float(gate), "idvd",
+                          f"{label}:idvd@vg={gate:g}V")
+                  for gate, row in zip(spec.idvd_gate_biases,
+                                      idvd.reshape(gates.size, vd.size))]
+        return (self._idvg_curve(spec.vds_lin, lin),
+                self._idvg_curve(spec.vds_sat, sat),
+                IdVdFamily(curves, f"{label}:idvd"))
 
     def cv(self) -> CVCurve:
         """Gate C-V at V_DS = 0 over the gate axis."""
         vg = np.linspace(self.spec.vg_start, self.spec.vg_stop,
                          self.spec.cv_points)
-        caps = np.array(
-            [self.device.gate_capacitance(float(v)) for v in vg])
-        return CVCurve(vg, caps, f"{self.device.label}:cv")
+        return CVCurve(vg, self.device.gate_capacitance(vg),
+                       f"{self.device.label}:cv")
