@@ -16,6 +16,14 @@ The sparse kernel silently degrades to the dense oracle below
 ``REPRO_SPARSE_THRESHOLD`` unknowns and when SciPy is unavailable, so
 small systems — every committed golden and the whole standard-cell
 flow — keep bit-identical legacy arithmetic.
+
+Under both kernels the circuit's MOSFETs are evaluated in banks
+(:class:`~repro.spice.elements.mosfet.MosfetBank`), built once per
+assembler: each assembly makes one compact-model call per model, then
+stamps the elements in circuit order, every MOSFET scattering its
+precomputed companion.  Each matrix entry therefore accumulates the
+same values in the same order as per-transistor stamping did, and the
+results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from repro.errors import SingularMatrixError
 from repro.observe import get_tracer
 from repro.spice.netlist import Circuit
 from repro.spice.elements.base import Element, Stamper
+from repro.spice.elements.mosfet import MosfetBank
 
 #: Leak conductance from every node to ground — keeps cut-off transistor
 #: networks non-singular, as real simulators do.
@@ -45,10 +54,9 @@ def _singular(exc: Exception) -> SingularMatrixError:
 class _LazyVoltages(dict):
     """Node-voltage view over a solution vector, materialised on demand.
 
-    The sparse kernel re-stamps only the varying elements, which touch
-    a handful of nodes — building the full ``{node: float}`` dict every
-    Newton iteration (the dense kernel's behaviour) would dominate the
-    assembly cost on large circuits.
+    Elements read the few nodes they touch (MOSFETs none: their banks
+    read the solution vector directly), so building the full
+    ``{node: float}`` dict every Newton iteration would be wasted work.
     """
 
     def __init__(self, x: np.ndarray, node_index: Dict[str, int]):
@@ -158,11 +166,14 @@ class MnaAssembler:
         Optional minimum unknown count for the sparse path; default
         resolves ``REPRO_SPARSE_THRESHOLD``.
 
-    The effective kernel is exposed as :attr:`kernel`; element
-    parameters must not change over the assembler's lifetime when the
-    sparse kernel is active (the linear partition is cached) — the
-    solver stack honours this: source stepping swaps *waveforms* of
-    voltage sources, which sit in the varying partition.
+    The effective kernel is exposed as :attr:`kernel`.  The circuit's
+    elements and their parameters must not change over the assembler's
+    lifetime under either kernel: the MOSFET banks (terminal rows and
+    ``Mosfet.model``) are built at construction, and the sparse kernel
+    also caches the linear partition.  The solver stack honours this:
+    source stepping swaps *waveforms* of voltage sources, which are
+    read at stamp time.  A MOSFET on a node the circuit does not know
+    raises :class:`~repro.errors.NetlistError` here.
     """
 
     def __init__(self, circuit: Circuit, kernel: Optional[str] = None,
@@ -173,6 +184,15 @@ class MnaAssembler:
         self.branch_index = circuit.branch_index()
         self.n_unknowns = circuit.n_unknowns
         self.n_nodes = len(self.node_index)
+        elements = circuit.elements
+        self.banks: List[MosfetBank] = MosfetBank.group(elements,
+                                                        self.node_index)
+        # Each element with its MOSFET's position in the concatenated
+        # bank companions (None for every other element).
+        slot = {id(fet): k for k, fet in enumerate(
+            fet for bank in self.banks for fet in bank.devices)}
+        self._elements: List[Tuple[Element, Optional[int]]] = [
+            (e, slot.get(id(e))) for e in elements]
         requested = kernels.mna_kernel(kernel)
         self.kernel = "dense"
         if (requested == "sparse"
@@ -184,32 +204,45 @@ class MnaAssembler:
 
     def _prepare_sparse(self) -> None:
         """Partition elements and cache the linear stamps."""
-        self._static_varying: List[Element] = [
-            e for e in self.circuit
+        self._static_varying = [
+            (e, k) for e, k in self._elements
             if not e.static_linear
             and type(e).stamp_static is not Element.stamp_static]
-        self._dynamic_varying: List[Element] = [
-            e for e in self.circuit
+        self._dynamic_varying = [
+            (e, k) for e, k in self._elements
             if not e.dynamic_linear
             and type(e).stamp_dynamic is not Element.stamp_dynamic]
         zero_voltages = {node: 0.0 for node in self.node_index}
         base = Stamper(self.node_index, self.branch_index, self.n_unknowns)
-        for element in self.circuit:
+        for element, _ in self._elements:
             if element.static_linear:
                 element.stamp_static(base, zero_voltages, 0.0)
-        for i in range(self.n_nodes):
-            base.matrix[i, i] += GMIN
+        self._add_gmin(base.matrix)
         self._static_base = base.matrix
         self._static_base_rhs = base.rhs
         cap_stamper = Stamper(self.node_index, self.branch_index,
                               self.n_unknowns)
         self._cap_base = np.zeros((self.n_unknowns, self.n_unknowns))
         scratch = np.zeros(self.n_unknowns)
-        for element in self.circuit:
+        for element, _ in self._elements:
             if element.dynamic_linear:
                 element.stamp_dynamic(cap_stamper, zero_voltages, scratch,
                                       self._cap_base)
         self._sparse = _SparseLinearSolver()
+
+    def _add_gmin(self, matrix: np.ndarray) -> None:
+        idx = np.arange(self.n_nodes)
+        matrix[idx, idx] += GMIN
+
+    def _companions(self, x: np.ndarray, dynamic: bool) -> list:
+        """Every banked MOSFET's companion at estimate ``x``."""
+        x_ext = np.append(x, 0.0)
+        companions = []
+        for bank in self.banks:
+            vgs, vds = bank.bias(x_ext)
+            companions.extend(bank.dynamic_companions(vgs, vds) if dynamic
+                              else bank.static_companions(vgs, vds))
+        return companions
 
     # ------------------------------------------------------------------
     # vector <-> dict conversions
@@ -230,21 +263,25 @@ class MnaAssembler:
         if self.kernel == "dense":
             stamper = Stamper(self.node_index, self.branch_index,
                               self.n_unknowns)
-            voltages = self.voltages_from(x)
-            for element in self.circuit:
-                element.stamp_static(stamper, voltages, time)
-            for i in range(self.n_nodes):
-                stamper.matrix[i, i] += GMIN
-            return stamper
-        # Sparse kernel: start from the cached linear base (already
-        # including GMIN) and re-stamp only the varying elements.
-        stamper = Stamper.from_base(self.node_index, self.branch_index,
-                                    self._static_base.copy(),
-                                    self._static_base_rhs.copy())
-        if self._static_varying:
+            elements = self._elements
+        else:
+            # Start from the cached linear base (already including
+            # GMIN) and re-stamp only the varying elements.
+            stamper = Stamper.from_base(self.node_index, self.branch_index,
+                                        self._static_base.copy(),
+                                        self._static_base_rhs.copy())
+            elements = self._static_varying
+        if elements:
             voltages = _LazyVoltages(x, self.node_index)
-            for element in self._static_varying:
-                element.stamp_static(stamper, voltages, time)
+            companions = self._companions(x, dynamic=False)
+            for element, k in elements:
+                if k is None:
+                    element.stamp_static(stamper, voltages, time)
+                else:
+                    element.stamp_static(stamper, voltages, time,
+                                         companions[k])
+        if self.kernel == "dense":
+            self._add_gmin(stamper.matrix)
         return stamper
 
     def assemble_dynamic(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -255,25 +292,27 @@ class MnaAssembler:
         read-only, which the DC and transient solvers do.
         """
         if self.kernel == "dense":
-            stamper = Stamper(self.node_index, self.branch_index,
-                              self.n_unknowns)
-            voltages = self.voltages_from(x)
             charge = np.zeros(self.n_unknowns)
             cap = np.zeros((self.n_unknowns, self.n_unknowns))
-            for element in self.circuit:
-                element.stamp_dynamic(stamper, voltages, charge, cap)
-            return charge, cap
-        # Sparse kernel: linear charges are exactly C x with the cached
-        # capacitance base; only nonlinear elements re-stamp.
-        charge = self._cap_base @ x
-        if not self._dynamic_varying:
-            return charge, self._cap_base
-        cap = self._cap_base.copy()
+            elements = self._elements
+        else:
+            # Linear charges are exactly C x with the cached capacitance
+            # base; only nonlinear elements re-stamp.
+            charge = self._cap_base @ x
+            if not self._dynamic_varying:
+                return charge, self._cap_base
+            cap = self._cap_base.copy()
+            elements = self._dynamic_varying
         stamper = Stamper(self.node_index, self.branch_index,
                           self.n_unknowns)
         voltages = _LazyVoltages(x, self.node_index)
-        for element in self._dynamic_varying:
-            element.stamp_dynamic(stamper, voltages, charge, cap)
+        companions = self._companions(x, dynamic=True)
+        for element, k in elements:
+            if k is None:
+                element.stamp_dynamic(stamper, voltages, charge, cap)
+            else:
+                element.stamp_dynamic(stamper, voltages, charge, cap,
+                                      companions[k])
         return charge, cap
 
     def solve_system(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
